@@ -361,8 +361,8 @@ ShardedResult RunShardedPhase(const cube::CubeView& global, size_t n,
     service_options.cache_capacity = 0;  // measure execution, not replay
     node->service =
         std::make_unique<query::QueryService>(&node->store, service_options);
-    node->server = std::make_unique<server::ScubedServer>(
-        node->service.get(), &node->store, shard_server_options);
+    node->server = std::make_unique<server::ScubedServer>(node->service.get(),
+                                                          shard_server_options);
     Status started = node->server->Start();
     if (!started.ok()) {
       std::fprintf(stderr, "shard %zu start: %s\n", i,
@@ -556,7 +556,7 @@ IdleConnResult RunIdleConnPhase(cube::SegregationCube cube, size_t target,
   options.frontend = server::Frontend::kReactor;
   options.num_connection_threads = workers;  // fixed pool — the claim
   options.idle_timeout_seconds = 600;        // the herd must outlive the run
-  server::ScubedServer server(&service, &store, options);
+  server::ScubedServer server(&service, options);
   Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "idle-conn server start: %s\n",
@@ -692,7 +692,7 @@ int main(int argc, char** argv) {
   // query-level admission (not the connection pool) is what saturates.
   server_options.num_connection_threads = clients * 16;
   server_options.max_queued_connections = clients * 16;
-  server::ScubedServer server(&service, &store, server_options);
+  server::ScubedServer server(&service, server_options);
   Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "start: %s\n", started.ToString().c_str());
@@ -806,8 +806,7 @@ int main(int argc, char** argv) {
   server::ServerOptions wide_server_options;
   wide_server_options.port = 0;
   wide_server_options.loopback_only = true;
-  server::ScubedServer wide_server(&wide_service, &wide_store,
-                                   wide_server_options);
+  server::ScubedServer wide_server(&wide_service, wide_server_options);
   started = wide_server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "start: %s\n", started.ToString().c_str());

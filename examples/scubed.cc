@@ -324,7 +324,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  server::ScubedServer server(&service, &store, server_options);
+  server::ScubedServer server(&service, server_options);
   Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "start: %s\n", started.ToString().c_str());

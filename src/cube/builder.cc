@@ -7,7 +7,7 @@
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "fpm/registry.h"
+#include "fpm/fpgrowth.h"
 #include "indexes/counts.h"
 
 namespace scube {
@@ -148,14 +148,12 @@ Result<SegregationCube> BuildSegregationCube(
   // --- Mining -------------------------------------------------------------
   WallTimer timer;
   trace::Span mine_span(options.trace, "build.mine");
-  auto miner = fpm::MakeMiner(options.miner);
-  if (!miner.ok()) return miner.status();
   fpm::MinerOptions mine_opts;
   mine_opts.min_support = min_support;
   mine_opts.max_length = options.max_sa_items + options.max_ca_items;
   mine_opts.mode = options.mode;
   mine_opts.include_empty = true;  // the all-⋆ root and pure-SA cells
-  auto mined = miner.value()->Mine(encoded.db, mine_opts);
+  auto mined = fpm::MineFpGrowth(encoded.db, mine_opts);
   if (!mined.ok()) return mined.status();
   mine_span.End();
   st->seconds_mining = timer.Seconds();

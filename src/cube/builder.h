@@ -18,7 +18,6 @@
 #define SCUBE_CUBE_BUILDER_H_
 
 #include <cstdint>
-#include <string>
 
 #include "common/result.h"
 #include "common/trace.h"
@@ -44,9 +43,6 @@ struct CubeBuilderOptions {
   /// use 3 SA and a handful of CA attributes).
   uint32_t max_sa_items = 3;
   uint32_t max_ca_items = 2;
-
-  /// Mining engine ("fpgrowth", "eclat", "apriori", "brute-force").
-  std::string miner = "fpgrowth";
 
   /// kClosed (the paper's choice): one cell per closed itemset.
   /// kAll: every frequent coordinate combination becomes a cell.

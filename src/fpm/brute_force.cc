@@ -36,8 +36,8 @@ void Dfs(const TransactionDb& db, const MinerOptions& options,
 
 }  // namespace
 
-Result<std::vector<FrequentItemset>> BruteForceMiner::Mine(
-    const TransactionDb& db, const MinerOptions& options) const {
+Result<std::vector<FrequentItemset>> MineBruteForce(
+    const TransactionDb& db, const MinerOptions& options) {
   SCUBE_RETURN_IF_ERROR(ValidateMinerOptions(options));
   std::vector<FrequentItemset> out;
   if (options.include_empty) {

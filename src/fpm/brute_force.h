@@ -11,14 +11,10 @@
 namespace scube {
 namespace fpm {
 
-/// \brief Exhaustive reference implementation of FrequentItemsetMiner.
-class BruteForceMiner : public FrequentItemsetMiner {
- public:
-  std::string Name() const override { return "brute-force"; }
-
-  Result<std::vector<FrequentItemset>> Mine(
-      const TransactionDb& db, const MinerOptions& options) const override;
-};
+/// Mines `db` under `options` by exhaustive enumeration: the reference
+/// MineFpGrowth must match exactly. The result is in SortItemsets order.
+Result<std::vector<FrequentItemset>> MineBruteForce(
+    const TransactionDb& db, const MinerOptions& options);
 
 }  // namespace fpm
 }  // namespace scube

@@ -185,8 +185,8 @@ void MineTree(const FpTree& tree, MineContext* ctx) {
 
 }  // namespace
 
-Result<std::vector<FrequentItemset>> FpGrowthMiner::Mine(
-    const TransactionDb& db, const MinerOptions& options) const {
+Result<std::vector<FrequentItemset>> MineFpGrowth(const TransactionDb& db,
+                                                 const MinerOptions& options) {
   SCUBE_RETURN_IF_ERROR(ValidateMinerOptions(options));
   std::vector<FrequentItemset> out;
   if (options.include_empty) {

@@ -12,14 +12,10 @@
 namespace scube {
 namespace fpm {
 
-/// \brief FP-tree based miner; the default engine of the cube builder.
-class FpGrowthMiner : public FrequentItemsetMiner {
- public:
-  std::string Name() const override { return "fpgrowth"; }
-
-  Result<std::vector<FrequentItemset>> Mine(
-      const TransactionDb& db, const MinerOptions& options) const override;
-};
+/// Mines `db` under `options` with an FP-tree; the cube builder's engine.
+/// Deterministic; the result is in SortItemsets order.
+Result<std::vector<FrequentItemset>> MineFpGrowth(const TransactionDb& db,
+                                                 const MinerOptions& options);
 
 }  // namespace fpm
 }  // namespace scube

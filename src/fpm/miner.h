@@ -1,16 +1,15 @@
-// Frequent-itemset miner interface and result types.
+// Frequent-itemset mining options and result types.
 //
 // SCube's data-cube construction is driven by frequent (closed) itemset
-// mining (the original system uses Borgelt's FPGrowth). Three miners are
-// provided — FP-Growth (the production engine), Apriori and Eclat (baselines
-// for the efficiency study) — plus a brute-force reference used in tests.
+// mining (the original system uses Borgelt's FPGrowth). FP-Growth
+// (fpm/fpgrowth.h) is the production engine; the brute-force miner
+// (fpm/brute_force.h) is the reference the tests check it against.
 
 #ifndef SCUBE_FPM_MINER_H_
 #define SCUBE_FPM_MINER_H_
 
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -51,20 +50,6 @@ struct FrequentItemset {
   bool operator==(const FrequentItemset& other) const {
     return support == other.support && items == other.items;
   }
-};
-
-/// \brief Abstract miner; implementations must be deterministic.
-class FrequentItemsetMiner {
- public:
-  virtual ~FrequentItemsetMiner() = default;
-
-  /// Human-readable engine name (e.g. "fpgrowth").
-  virtual std::string Name() const = 0;
-
-  /// Mines `db` under `options`. The result order is unspecified; use
-  /// SortItemsets for deterministic comparisons.
-  virtual Result<std::vector<FrequentItemset>> Mine(
-      const TransactionDb& db, const MinerOptions& options) const = 0;
 };
 
 /// Sorts lexicographically by items (deterministic canonical order).

@@ -2,7 +2,7 @@
 //
 // Each transaction is a sorted set of items (one transaction per individual
 // in the finalTable). The database also materialises per-item EWAH covers
-// (tidsets) used by Eclat, the cube builder, and support counting.
+// (tidsets) used by the cube builder and support counting.
 
 #ifndef SCUBE_FPM_TRANSACTION_DB_H_
 #define SCUBE_FPM_TRANSACTION_DB_H_

@@ -164,11 +164,16 @@ Result<double> Interaction(const GroupDistribution& dist) {
   return sum;
 }
 
-Result<double> Atkinson(const GroupDistribution& dist, double b) {
-  SCUBE_RETURN_IF_ERROR(CheckComputable(dist));
-  if (b <= 0.0 || b >= 1.0) {
+Status CheckAtkinsonParameter(double b) {
+  if (!(b > 0.0 && b < 1.0)) {
     return Status::InvalidArgument("Atkinson parameter b must be in (0,1)");
   }
+  return Status::OK();
+}
+
+Result<double> Atkinson(const GroupDistribution& dist, double b) {
+  SCUBE_RETURN_IF_ERROR(CheckComputable(dist));
+  SCUBE_RETURN_IF_ERROR(CheckAtkinsonParameter(b));
   double total = static_cast<double>(dist.Total());
   double prop = dist.MinorityProportion();
   double sum = 0.0;

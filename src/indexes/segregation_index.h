@@ -71,6 +71,9 @@ Result<double> Isolation(const GroupDistribution& dist);
 Result<double> Interaction(const GroupDistribution& dist);
 Result<double> Atkinson(const GroupDistribution& dist, double b = 0.5);
 
+/// InvalidArgument unless the Atkinson parameter b lies in (0,1) (NaN too).
+Status CheckAtkinsonParameter(double b);
+
 /// O(n^2) reference Gini used by tests to validate the O(n log n) version.
 Result<double> GiniQuadraticReference(const GroupDistribution& dist);
 

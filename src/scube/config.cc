@@ -1,11 +1,22 @@
 #include "scube/config.h"
 
+#include <charconv>
+#include <cstdint>
+#include <limits>
+
 #include "common/string_util.h"
+#include "indexes/segregation_index.h"
 
 namespace scube {
 namespace pipeline {
 
 namespace {
+
+// Shortest decimal form that parses back to exactly `v`.
+std::string FormatExact(double v) {
+  char buf[64];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
 
 Status SetKey(PipelineConfig* config, const std::string& key,
               const std::string& value) {
@@ -19,6 +30,9 @@ Status SetKey(PipelineConfig* config, const std::string& key,
     auto v = ParseInt64(value);
     if (!v.ok()) return v.status().WithContext(key);
     if (v.value() < 0) return Status::InvalidArgument(key + " must be >= 0");
+    if (v.value() > std::numeric_limits<uint32_t>::max()) {
+      return Status::InvalidArgument(key + " must be <= 4294967295");
+    }
     *out = static_cast<uint32_t>(v.value());
     return Status::OK();
   };
@@ -96,10 +110,6 @@ Status SetKey(PipelineConfig* config, const std::string& key,
   if (key == "cube.max_ca_items") {
     return parse_u32(&config->cube.max_ca_items);
   }
-  if (key == "cube.miner") {
-    config->cube.miner = value;
-    return Status::OK();
-  }
   if (key == "cube.mode") {
     if (value == "all") {
       config->cube.mode = fpm::MineMode::kAll;
@@ -113,7 +123,12 @@ Status SetKey(PipelineConfig* config, const std::string& key,
     return Status::OK();
   }
   if (key == "cube.atkinson_b") {
-    return parse_double(&config->cube.index_params.atkinson_b);
+    double b = 0;
+    SCUBE_RETURN_IF_ERROR(parse_double(&b));
+    SCUBE_RETURN_IF_ERROR(
+        indexes::CheckAtkinsonParameter(b).WithContext(key));
+    config->cube.index_params.atkinson_b = b;
+    return Status::OK();
   }
   if (key == "cube.num_threads") {
     auto v = ParseInt64(value);
@@ -160,32 +175,31 @@ std::string PipelineConfigToString(const PipelineConfig& config) {
   out += "method = " + std::string(ClusterMethodToString(config.method)) +
          "\n";
   out += "threshold.min_weight = " +
-         FormatDouble(config.threshold.min_weight, 3) + "\n";
+         FormatExact(config.threshold.min_weight) + "\n";
   out += "threshold.giant_only = " +
          std::string(config.threshold.giant_only ? "true" : "false") + "\n";
-  out += "stoc.tau = " + FormatDouble(config.stoc.tau, 3) + "\n";
-  out += "stoc.alpha = " + FormatDouble(config.stoc.alpha, 3) + "\n";
+  out += "stoc.tau = " + FormatExact(config.stoc.tau) + "\n";
+  out += "stoc.alpha = " + FormatExact(config.stoc.alpha) + "\n";
   out += "stoc.max_radius = " + std::to_string(config.stoc.max_radius) + "\n";
   out += "projection.hub_cap = " +
          std::to_string(config.projection.hub_cap) + "\n";
   out += "projection.min_weight = " +
-         FormatDouble(config.projection.min_weight, 3) + "\n";
+         FormatExact(config.projection.min_weight) + "\n";
   out += "cube.min_support = " + std::to_string(config.cube.min_support) +
          "\n";
   out += "cube.min_support_fraction = " +
-         FormatDouble(config.cube.min_support_fraction, 6) + "\n";
+         FormatExact(config.cube.min_support_fraction) + "\n";
   out += "cube.max_sa_items = " + std::to_string(config.cube.max_sa_items) +
          "\n";
   out += "cube.max_ca_items = " + std::to_string(config.cube.max_ca_items) +
          "\n";
-  out += "cube.miner = " + config.cube.miner + "\n";
   out += "cube.mode = " +
          std::string(config.cube.mode == fpm::MineMode::kAll ? "all"
                      : config.cube.mode == fpm::MineMode::kClosed
                          ? "closed"
                          : "maximal") + "\n";
   out += "cube.atkinson_b = " +
-         FormatDouble(config.cube.index_params.atkinson_b, 3) + "\n";
+         FormatExact(config.cube.index_params.atkinson_b) + "\n";
   out += "cube.num_threads = " + std::to_string(config.cube.num_threads) +
          "\n";
   return out;

@@ -26,14 +26,13 @@ namespace pipeline {
 ///   threshold.giant_only   true | false
 ///   stoc.tau               <double in [0,1]>
 ///   stoc.alpha             <double in [0,1]>
-///   stoc.max_radius        <integer>
-///   projection.hub_cap     <integer, 0 disables>
+///   stoc.max_radius        <integer in [0, 2^32)>
+///   projection.hub_cap     <integer in [0, 2^32), 0 disables>
 ///   projection.min_weight  <double>
 ///   cube.min_support       <integer>
 ///   cube.min_support_fraction  <double>
-///   cube.max_sa_items      <integer>
-///   cube.max_ca_items      <integer>
-///   cube.miner             fpgrowth | eclat | apriori | brute-force
+///   cube.max_sa_items      <integer in [0, 2^32)>
+///   cube.max_ca_items      <integer in [0, 2^32)>
 ///   cube.mode              all | closed | maximal
 ///   cube.atkinson_b        <double in (0,1)>
 ///   cube.num_threads       <integer, 1 = sequential, 0 = all hardware>
@@ -41,7 +40,8 @@ namespace pipeline {
 /// Lines starting with '#' and blank lines are ignored.
 Result<PipelineConfig> ParsePipelineConfig(const std::string& text);
 
-/// Serialises a config back to the parsable format.
+/// Serialises a config back to the parsable format. Doubles are written
+/// in their shortest exact form, so parsing the text gives back `config`.
 std::string PipelineConfigToString(const PipelineConfig& config);
 
 }  // namespace pipeline

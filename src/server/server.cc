@@ -23,13 +23,6 @@ ScubedServer::ScubedServer(query::QueryBackend* backend,
                           options_.trace_all};
 }
 
-ScubedServer::ScubedServer(query::QueryService* service,
-                           query::CubeStore* store, ServerOptions options)
-    : ScubedServer(static_cast<query::QueryBackend*>(service),
-                   std::move(options)) {
-  (void)store;  // /cubes answers via QueryBackend::ListCubes now
-}
-
 ScubedServer::~ScubedServer() { Stop(); }
 
 uint16_t ScubedServer::port() const {

@@ -115,11 +115,6 @@ struct ServerOptions {
 class ScubedServer {
  public:
   ScubedServer(query::QueryBackend* backend, ServerOptions options = {});
-
-  /// Legacy signature; `store` is unused — /cubes and /healthz go through
-  /// QueryBackend::ListCubes now.
-  ScubedServer(query::QueryService* service, query::CubeStore* store,
-               ServerOptions options = {});
   ~ScubedServer();
 
   ScubedServer(const ScubedServer&) = delete;

@@ -280,33 +280,6 @@ TEST(CubeBuilderTest, StatsPopulated) {
   EXPECT_EQ(stats.threads_used, 1u);
 }
 
-TEST(CubeBuilderTest, AllMinerEnginesAgree) {
-  Table t = SmallFinalTable();
-  auto base = AllCellsOptions();
-  auto reference = BuildSegregationCube(t, base);
-  ASSERT_TRUE(reference.ok());
-  for (const char* engine : {"eclat", "apriori", "brute-force"}) {
-    auto opts = base;
-    opts.miner = engine;
-    auto cube = BuildSegregationCube(t, opts);
-    ASSERT_TRUE(cube.ok()) << engine;
-    EXPECT_EQ(cube->NumCells(), reference->NumCells()) << engine;
-    for (const CubeCell* cell : reference->Cells()) {
-      const CubeCell* other = cube->Find(cell->coords);
-      ASSERT_NE(other, nullptr) << engine;
-      EXPECT_EQ(other->minority_size, cell->minority_size) << engine;
-    }
-  }
-}
-
-TEST(CubeBuilderTest, UnknownMinerRejected) {
-  Table t = SmallFinalTable();
-  auto opts = AllCellsOptions();
-  opts.miner = "quantum";
-  EXPECT_EQ(BuildSegregationCube(t, opts).status().code(),
-            StatusCode::kNotFound);
-}
-
 TEST(CubeBuilderTest, EmptyTableRejected) {
   Schema schema({
       {"gender", ColumnType::kCategorical, AttributeKind::kSegregation},

@@ -1,17 +1,17 @@
-// Cross-engine miner tests: hand-checked anchors on a tiny database plus
-// randomized equivalence sweeps of all engines against the brute-force
-// reference, in every mode.
+// Miner tests: hand-checked anchors on a tiny database for FP-growth and
+// the brute-force reference, plus randomized equivalence sweeps of
+// FP-growth against the reference, in every mode.
 
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
-#include <string>
+#include <vector>
 
 #include "common/random.h"
+#include "cube/builder.h"
 #include "fpm/brute_force.h"
+#include "fpm/fpgrowth.h"
 #include "fpm/miner.h"
-#include "fpm/registry.h"
 #include "fpm/transaction_db.h"
 
 namespace scube {
@@ -44,26 +44,24 @@ TEST(MinerOptionsTest, Validation) {
   EXPECT_FALSE(ValidateMinerOptions(bad).ok());
 }
 
-TEST(RegistryTest, KnownAndUnknownEngines) {
-  for (const std::string& name : MinerNames()) {
-    auto miner = MakeMiner(name);
-    ASSERT_TRUE(miner.ok()) << name;
-    EXPECT_EQ(miner.value()->Name(), name);
-  }
-  EXPECT_FALSE(MakeMiner("does-not-exist").ok());
-}
+using MineFn = Result<std::vector<FrequentItemset>> (*)(
+    const TransactionDb&, const MinerOptions&);
 
-class AllEnginesTest : public ::testing::TestWithParam<std::string> {
+// The anchors hold for the engine and for the reference it is checked
+// against.
+class MinerTest : public ::testing::TestWithParam<MineFn> {
  protected:
-  std::unique_ptr<FrequentItemsetMiner> miner_ =
-      std::move(MakeMiner(GetParam()).value());
+  Result<std::vector<FrequentItemset>> Mine(const TransactionDb& db,
+                                            const MinerOptions& opts) const {
+    return GetParam()(db, opts);
+  }
 };
 
-TEST_P(AllEnginesTest, TextbookSupports) {
+TEST_P(MinerTest, TextbookSupports) {
   TransactionDb db = TextbookDb();
   MinerOptions opts;
   opts.min_support = 3;
-  auto result = miner_->Mine(db, opts);
+  auto result = Mine(db, opts);
   ASSERT_TRUE(result.ok());
   auto m = AsMap(result.value());
 
@@ -92,12 +90,12 @@ TEST_P(AllEnginesTest, TextbookSupports) {
   EXPECT_EQ(m.size(), 18u);
 }
 
-TEST_P(AllEnginesTest, ClosedModeTextbook) {
+TEST_P(MinerTest, ClosedModeTextbook) {
   TransactionDb db = TextbookDb();
   MinerOptions opts;
   opts.min_support = 3;
   opts.mode = MineMode::kClosed;
-  auto result = miner_->Mine(db, opts);
+  auto result = Mine(db, opts);
   ASSERT_TRUE(result.ok());
   auto m = AsMap(result.value());
   // Closed sets at minsup 3: {f}:4, {c}:4, {b}:3, {cp}:3, {fcam}:3, {fc}...
@@ -111,12 +109,12 @@ TEST_P(AllEnginesTest, ClosedModeTextbook) {
   EXPECT_EQ(m.at(Itemset({0, 1, 2, 4})), 3u);
 }
 
-TEST_P(AllEnginesTest, MaximalModeTextbook) {
+TEST_P(MinerTest, MaximalModeTextbook) {
   TransactionDb db = TextbookDb();
   MinerOptions opts;
   opts.min_support = 3;
   opts.mode = MineMode::kMaximal;
-  auto result = miner_->Mine(db, opts);
+  auto result = Mine(db, opts);
   ASSERT_TRUE(result.ok());
   auto m = AsMap(result.value());
   EXPECT_EQ(m.size(), 3u);
@@ -125,12 +123,12 @@ TEST_P(AllEnginesTest, MaximalModeTextbook) {
   EXPECT_EQ(m.at(Itemset({0, 1, 2, 4})), 3u);  // fcam
 }
 
-TEST_P(AllEnginesTest, MaxLengthCap) {
+TEST_P(MinerTest, MaxLengthCap) {
   TransactionDb db = TextbookDb();
   MinerOptions opts;
   opts.min_support = 3;
   opts.max_length = 2;
-  auto result = miner_->Mine(db, opts);
+  auto result = Mine(db, opts);
   ASSERT_TRUE(result.ok());
   for (const auto& fs : result.value()) {
     EXPECT_LE(fs.items.size(), 2u);
@@ -139,58 +137,61 @@ TEST_P(AllEnginesTest, MaxLengthCap) {
   EXPECT_EQ(result.value().size(), 13u);
 }
 
-TEST_P(AllEnginesTest, MinSupportOneFindsEverything) {
+TEST_P(MinerTest, MinSupportOneFindsEverything) {
   TransactionDb db;
   db.AddTransaction({0, 1});
   db.AddTransaction({1, 2});
   MinerOptions opts;
   opts.min_support = 1;
-  auto result = miner_->Mine(db, opts);
+  auto result = Mine(db, opts);
   ASSERT_TRUE(result.ok());
   auto m = AsMap(result.value());
   EXPECT_EQ(m.size(), 5u);  // {0},{1},{2},{01},{12}
   EXPECT_EQ(m.at(Itemset({1})), 2u);
 }
 
-TEST_P(AllEnginesTest, NoFrequentItems) {
+TEST_P(MinerTest, NoFrequentItems) {
   TransactionDb db;
   db.AddTransaction({0});
   db.AddTransaction({1});
   MinerOptions opts;
   opts.min_support = 2;
-  auto result = miner_->Mine(db, opts);
+  auto result = Mine(db, opts);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().empty());
 }
 
-TEST_P(AllEnginesTest, IncludeEmptyItemset) {
+TEST_P(MinerTest, IncludeEmptyItemset) {
   TransactionDb db;
   db.AddTransaction({0});
   db.AddTransaction({0, 1});
   MinerOptions opts;
   opts.min_support = 1;
   opts.include_empty = true;
-  auto result = miner_->Mine(db, opts);
+  auto result = Mine(db, opts);
   ASSERT_TRUE(result.ok());
   auto m = AsMap(result.value());
   EXPECT_EQ(m.at(Itemset()), 2u);
 }
 
-TEST_P(AllEnginesTest, EmptyDatabase) {
+TEST_P(MinerTest, EmptyDatabase) {
   TransactionDb db;
   MinerOptions opts;
   opts.min_support = 1;
-  auto result = miner_->Mine(db, opts);
+  auto result = Mine(db, opts);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, AllEnginesTest,
-                         ::testing::Values("fpgrowth", "eclat", "apriori",
-                                           "brute-force"));
+INSTANTIATE_TEST_SUITE_P(Engines, MinerTest,
+                         ::testing::Values(&MineFpGrowth, &MineBruteForce),
+                         [](const ::testing::TestParamInfo<MineFn>& info) {
+                           return info.param == &MineFpGrowth ? "FpGrowth"
+                                                              : "BruteForce";
+                         });
 
 // ---------------------------------------------------------------------------
-// Randomized equivalence sweep: every engine x every mode must match the
+// Randomized equivalence sweep: FP-growth in every mode must match the
 // brute-force reference exactly on random databases.
 // ---------------------------------------------------------------------------
 
@@ -201,11 +202,12 @@ struct SweepParams {
   double item_prob;
   uint64_t min_support;
   uint32_t max_length;
+  bool include_empty = false;
 };
 
 class EquivalenceSweep : public ::testing::TestWithParam<SweepParams> {};
 
-TEST_P(EquivalenceSweep, EnginesMatchBruteForce) {
+TEST_P(EquivalenceSweep, FpGrowthMatchesBruteForce) {
   const auto& p = GetParam();
   Rng rng(p.seed);
   TransactionDb db;
@@ -222,33 +224,44 @@ TEST_P(EquivalenceSweep, EnginesMatchBruteForce) {
     opts.min_support = p.min_support;
     opts.max_length = p.max_length;
     opts.mode = mode;
-    BruteForceMiner reference;
-    auto expected = reference.Mine(db, opts);
+    opts.include_empty = p.include_empty;
+    auto expected = MineBruteForce(db, opts);
     ASSERT_TRUE(expected.ok());
-    for (const char* name : {"fpgrowth", "eclat", "apriori"}) {
-      auto miner = MakeMiner(name);
-      ASSERT_TRUE(miner.ok());
-      auto actual = miner.value()->Mine(db, opts);
-      ASSERT_TRUE(actual.ok()) << name;
-      EXPECT_EQ(actual.value().size(), expected.value().size())
-          << name << " mode=" << static_cast<int>(mode);
-      ASSERT_EQ(actual.value(), expected.value())
-          << name << " mode=" << static_cast<int>(mode);
-    }
+    auto actual = MineFpGrowth(db, opts);
+    ASSERT_TRUE(actual.ok());
+    EXPECT_EQ(actual.value().size(), expected.value().size())
+        << "mode=" << static_cast<int>(mode);
+    ASSERT_EQ(actual.value(), expected.value())
+        << "mode=" << static_cast<int>(mode);
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    RandomDbs, EquivalenceSweep,
-    ::testing::Values(
-        SweepParams{101, 30, 8, 0.4, 2, 32},
-        SweepParams{102, 50, 6, 0.5, 3, 32},
-        SweepParams{103, 20, 10, 0.3, 2, 4},   // length-capped
-        SweepParams{104, 80, 5, 0.6, 5, 32},   // dense
-        SweepParams{105, 40, 12, 0.15, 2, 3},  // sparse, capped
-        SweepParams{106, 10, 4, 0.9, 2, 32},   // tiny and very dense
-        SweepParams{107, 60, 7, 0.45, 6, 32},
-        SweepParams{108, 25, 9, 0.35, 1, 32}));  // minsup 1
+// The random databases, each mined as given and again the way
+// BuildSegregationCube mines: the empty itemset included (the all-* root)
+// and the length capped at max_sa_items + max_ca_items.
+std::vector<SweepParams> SweepCases() {
+  const std::vector<SweepParams> dbs = {
+      {101, 30, 8, 0.4, 2, 32},
+      {102, 50, 6, 0.5, 3, 32},
+      {103, 20, 10, 0.3, 2, 4},   // length-capped
+      {104, 80, 5, 0.6, 5, 32},   // dense
+      {105, 40, 12, 0.15, 2, 3},  // sparse, capped
+      {106, 10, 4, 0.9, 2, 32},   // tiny and very dense
+      {107, 60, 7, 0.45, 6, 32},
+      {108, 25, 9, 0.35, 1, 32},  // minsup 1
+  };
+  const cube::CubeBuilderOptions builder;
+  std::vector<SweepParams> cases = dbs;
+  for (SweepParams p : dbs) {
+    p.max_length = builder.max_sa_items + builder.max_ca_items;
+    p.include_empty = true;
+    cases.push_back(p);
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomDbs, EquivalenceSweep,
+                         ::testing::ValuesIn(SweepCases()));
 
 }  // namespace
 }  // namespace fpm

@@ -32,7 +32,6 @@ cube.min_support = 42
 cube.min_support_fraction = 0.01
 cube.max_sa_items = 3
 cube.max_ca_items = 2
-cube.miner = eclat
 cube.mode = all
 cube.atkinson_b = 0.25
 cube.num_threads = 4
@@ -53,7 +52,6 @@ cube.num_threads = 4
   EXPECT_DOUBLE_EQ(config->cube.min_support_fraction, 0.01);
   EXPECT_EQ(config->cube.max_sa_items, 3u);
   EXPECT_EQ(config->cube.max_ca_items, 2u);
-  EXPECT_EQ(config->cube.miner, "eclat");
   EXPECT_EQ(config->cube.mode, fpm::MineMode::kAll);
   EXPECT_DOUBLE_EQ(config->cube.index_params.atkinson_b, 0.25);
   EXPECT_EQ(config->cube.num_threads, 4u);
@@ -79,6 +77,16 @@ TEST(ConfigTest, RejectsBadValues) {
   EXPECT_FALSE(ParsePipelineConfig("stoc.max_radius = -1\n").ok());
   EXPECT_FALSE(ParsePipelineConfig("cube.num_threads = -2\n").ok());
   EXPECT_FALSE(ParsePipelineConfig("cube.num_threads = many\n").ok());
+  // uint32 keys reject values they would otherwise truncate.
+  EXPECT_FALSE(ParsePipelineConfig("cube.max_sa_items = 4294967297\n").ok());
+  EXPECT_FALSE(ParsePipelineConfig("stoc.max_radius = 4294967296\n").ok());
+  EXPECT_TRUE(ParsePipelineConfig("stoc.max_radius = 4294967295\n").ok());
+  // Atkinson's b is checked at parse time, not after mining.
+  auto atkinson = ParsePipelineConfig("cube.atkinson_b = 1.5\n");
+  EXPECT_EQ(atkinson.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(atkinson.status().message().find(
+                "Atkinson parameter b must be in (0,1)"),
+            std::string::npos);
 }
 
 TEST(ConfigTest, ErrorsCarryLineNumbers) {
@@ -95,7 +103,13 @@ TEST(ConfigTest, RoundTripThroughToString) {
   original.cube.min_support = 77;
   original.cube.mode = fpm::MineMode::kMaximal;
   original.cube.num_threads = 8;
-  original.stoc.tau = 0.35;
+  original.stoc.tau = 0.3333;
+  original.stoc.alpha = 0.1 + 0.2;  // 0.30000000000000004: all 17 digits
+  original.threshold.min_weight = 2.0 / 3.0;
+  original.projection.min_weight = 1e300;
+  original.cube.min_support_fraction = 1e-7;
+  original.cube.index_params.atkinson_b = 0.123456789;
+  original.cube.max_sa_items = 4294967295u;
 
   auto parsed = ParsePipelineConfig(PipelineConfigToString(original));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
@@ -105,7 +119,18 @@ TEST(ConfigTest, RoundTripThroughToString) {
   EXPECT_EQ(parsed->cube.min_support, original.cube.min_support);
   EXPECT_EQ(parsed->cube.mode, original.cube.mode);
   EXPECT_EQ(parsed->cube.num_threads, original.cube.num_threads);
-  EXPECT_DOUBLE_EQ(parsed->stoc.tau, original.stoc.tau);
+  // Exact equality: the text form must lose no digits.
+  EXPECT_EQ(parsed->stoc.tau, original.stoc.tau);
+  EXPECT_EQ(parsed->stoc.alpha, original.stoc.alpha);
+  EXPECT_EQ(parsed->threshold.min_weight, original.threshold.min_weight);
+  EXPECT_EQ(parsed->projection.min_weight, original.projection.min_weight);
+  EXPECT_EQ(parsed->cube.min_support_fraction,
+            original.cube.min_support_fraction);
+  EXPECT_EQ(parsed->cube.index_params.atkinson_b,
+            original.cube.index_params.atkinson_b);
+  EXPECT_EQ(parsed->cube.max_sa_items, original.cube.max_sa_items);
+  EXPECT_EQ(PipelineConfigToString(parsed.value()),
+            PipelineConfigToString(original));
 }
 
 TEST(ConfigTest, CommentsAndBlanksIgnored) {

@@ -168,8 +168,8 @@ struct DualFixture {
 
   DualFixture()
       : service(&store, {}),
-        threaded(&service, &store, MakeServerOptions(Frontend::kThreads)),
-        reactor(&service, &store, MakeServerOptions(Frontend::kReactor)) {
+        threaded(&service, MakeServerOptions(Frontend::kThreads)),
+        reactor(&service, MakeServerOptions(Frontend::kReactor)) {
     store.Publish("default", MakeCube(0.2));
     Status t = threaded.Start();
     EXPECT_TRUE(t.ok()) << t;
@@ -264,8 +264,7 @@ TEST(ReactorTest, SlowReaderBackpressuresWithoutLosingBytes) {
   query::CubeStore store;
   query::QueryService service(&store, {});
   store.Publish("default", MakeWideCube(6000));
-  ScubedServer server(&service, &store,
-                      MakeServerOptions(Frontend::kReactor));
+  ScubedServer server(&service, MakeServerOptions(Frontend::kReactor));
   ASSERT_TRUE(server.Start().ok());
 
   auto connected = net::Connect("127.0.0.1", server.port());
@@ -294,7 +293,7 @@ TEST(ReactorTest, IdleConnectionsTimeOutAndCount) {
   store.Publish("default", MakeCube(0.2));
   ServerOptions options = MakeServerOptions(Frontend::kReactor);
   options.idle_timeout_seconds = 0.3;
-  ScubedServer server(&service, &store, options);
+  ScubedServer server(&service, options);
   ASSERT_TRUE(server.Start().ok());
 
   auto connected = net::Connect("127.0.0.1", server.port());
@@ -316,7 +315,7 @@ TEST(ReactorTest, HeaderDeadlineDropsAStalledRequest) {
   ServerOptions options = MakeServerOptions(Frontend::kReactor);
   options.request_read_seconds = 0.3;
   options.idle_timeout_seconds = 30;  // idle alone must not fire here
-  ScubedServer server(&service, &store, options);
+  ScubedServer server(&service, options);
   ASSERT_TRUE(server.Start().ok());
 
   auto connected = net::Connect("127.0.0.1", server.port());
@@ -337,8 +336,7 @@ TEST(ReactorTest, GracefulStopClosesIdleKeepAliveConnections) {
   query::CubeStore store;
   query::QueryService service(&store, {});
   store.Publish("default", MakeCube(0.2));
-  ScubedServer server(&service, &store,
-                      MakeServerOptions(Frontend::kReactor));
+  ScubedServer server(&service, MakeServerOptions(Frontend::kReactor));
   ASSERT_TRUE(server.Start().ok());
 
   std::vector<net::Socket> idle;
@@ -369,7 +367,7 @@ TEST(ThreadedGuardTest, SlowLorisTrickleCannotPinAHandlerThread) {
   store.Publish("default", MakeCube(0.2));
   ServerOptions options = MakeServerOptions(Frontend::kThreads);
   options.request_read_seconds = 0.4;
-  ScubedServer server(&service, &store, options);
+  ScubedServer server(&service, options);
   ASSERT_TRUE(server.Start().ok());
 
   auto connected = net::Connect("127.0.0.1", server.port());
@@ -410,7 +408,7 @@ TEST(ThreadedGuardTest, IdleTimeoutCountsOnTheThreadedFrontEnd) {
   store.Publish("default", MakeCube(0.2));
   ServerOptions options = MakeServerOptions(Frontend::kThreads);
   options.idle_timeout_seconds = 0.3;
-  ScubedServer server(&service, &store, options);
+  ScubedServer server(&service, options);
   ASSERT_TRUE(server.Start().ok());
 
   auto connected = net::Connect("127.0.0.1", server.port());

@@ -58,7 +58,7 @@ struct Fixture {
   explicit Fixture(query::ServiceOptions service_options = {},
                    ServerOptions server_options = MakeServerOptions())
       : service(&store, service_options),
-        server(&service, &store, server_options) {
+        server(&service, server_options) {
     store.Publish("default", MakeCube(0.2));
     Status started = server.Start();
     EXPECT_TRUE(started.ok()) << started;
