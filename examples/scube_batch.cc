@@ -95,6 +95,29 @@ int main(int argc, char** argv) {
   std::string grp_path = demo ? "groups.csv" : argv[2];
   std::string mem_path = demo ? "membership.csv" : argv[3];
 
+  // The configuration is checked before any input loads.
+  pipeline::PipelineConfig config;
+  config.method = pipeline::ClusterMethod::kThreshold;
+  config.threshold.min_weight = 2.0;
+  config.cube.min_support = 1;
+  config.cube.mode = fpm::MineMode::kAll;
+  config.cube.max_sa_items = 2;
+  config.cube.max_ca_items = 1;
+  if (!demo && argc >= 5) {
+    auto text = ReadFileToString(argv[4]);
+    if (!text.ok()) {
+      std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
+      return 1;
+    }
+    auto parsed = pipeline::ParsePipelineConfig(text.value());
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "config: %s\n",
+                   parsed.status().ToString().c_str());
+      return 1;
+    }
+    config = parsed.value();
+  }
+
   CsvReader reader;
   auto ind_doc = reader.ParseFile(ind_path);
   auto grp_doc = reader.ParseFile(grp_path);
@@ -118,27 +141,6 @@ int main(int argc, char** argv) {
               inputs->individuals.NumRows(), inputs->groups.NumRows(),
               inputs->membership.NumMemberships());
 
-  pipeline::PipelineConfig config;
-  config.method = pipeline::ClusterMethod::kThreshold;
-  config.threshold.min_weight = 2.0;
-  config.cube.min_support = 1;
-  config.cube.mode = fpm::MineMode::kAll;
-  config.cube.max_sa_items = 2;
-  config.cube.max_ca_items = 1;
-  if (!demo && argc >= 5) {
-    auto text = ReadFileToString(argv[4]);
-    if (!text.ok()) {
-      std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
-      return 1;
-    }
-    auto parsed = pipeline::ParsePipelineConfig(text.value());
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "config: %s\n",
-                   parsed.status().ToString().c_str());
-      return 1;
-    }
-    config = parsed.value();
-  }
   std::printf("\neffective configuration:\n%s\n",
               pipeline::PipelineConfigToString(config).c_str());
 

@@ -609,10 +609,12 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
     return total;
   };
 
-  // --- pin one version: from the cursor, or by preflighting every shard.
-  uint64_t version = 0;
+  // --- pin the version up front only where the request names it (a
+  // cursor or FROM name@v). Otherwise every shard answers from its latest
+  // version and reports it in the H line; priming checks that they agree.
+  std::optional<uint64_t> pin = q.cube_version;
   std::vector<uint64_t> consumed(n, 0);
-  uint64_t router_skip = 0;
+  uint64_t router_skip = q.offset.value_or(0);
 
   if (!cursor.empty()) {
     auto decoded = DecodeScatterCursor(cursor);
@@ -639,119 +641,15 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
           "cursor pins version " + std::to_string(decoded->version) +
           ", but the query pins @" + std::to_string(*q.cube_version)));
     }
-    version = decoded->version;
+    pin = decoded->version;
     consumed = std::move(decoded->consumed);
     // The original OFFSET was consumed while producing the first page (it
     // is part of the consumed counts); resumption never re-skips.
     router_skip = 0;
-  } else {
-    if (context.Expired()) {
-      return finish(
-          Status::DeadlineExceeded("deadline expired before fan-out"));
-    }
-    struct Preflight {
-      Status error;
-      std::vector<query::CubeInfo> cubes;
-    };
-    std::vector<Preflight> pre(n);
-    {
-      trace::Span span(context.trace, "scatter.preflight");
-      pool_->ParallelFor(n, [&](size_t i) {
-        auto resp = clients_[i]->RoundTrip("GET", "/cubes");
-        if (!resp.ok()) {
-          pre[i].error = resp.status();
-          return;
-        }
-        if (resp->status != 200) {
-          pre[i].error = Status::Internal("GET /cubes answered HTTP " +
-                                          std::to_string(resp->status));
-          return;
-        }
-        auto cubes = ParseCubesJson(resp->body);
-        if (!cubes.ok()) {
-          pre[i].error = cubes.status();
-          return;
-        }
-        pre[i].cubes = std::move(cubes).value();
-      });
-    }
-    for (size_t i = 0; i < n; ++i) {
-      if (pre[i].error.ok()) continue;
-      Status err = shard_error(i, pre[i].error);
-      if (!try_drop(i)) return finish(std::move(err));
-    }
-
-    std::vector<const query::CubeInfo*> info(n, nullptr);
-    for (size_t i = 0; i < n; ++i) {
-      if (streams[i].dropped) continue;
-      for (const query::CubeInfo& c : pre[i].cubes) {
-        if (c.name == outcome.cube) {
-          info[i] = &c;
-          break;
-        }
-      }
-    }
-
-    if (q.cube_version) {
-      version = *q.cube_version;
-      for (size_t i = 0; i < n; ++i) {
-        if (streams[i].dropped) continue;
-        bool has = false;
-        if (info[i] != nullptr) {
-          has = info[i]->version == version ||
-                std::find(info[i]->retained.begin(), info[i]->retained.end(),
-                          version) != info[i]->retained.end();
-        }
-        if (!has) {
-          Status err = shard_error(
-              i, Status::NotFound("no version " + std::to_string(version) +
-                                  " of cube '" + outcome.cube +
-                                  "' (evicted or never published)"));
-          if (!try_drop(i)) return finish(std::move(err));
-        }
-      }
-    } else {
-      bool any = false;
-      for (size_t i = 0; i < n; ++i) {
-        if (!streams[i].dropped && info[i] != nullptr) any = true;
-      }
-      if (!any) {
-        return finish(Status::NotFound("no cube published under '" +
-                                       outcome.cube + "'"));
-      }
-      for (size_t i = 0; i < n; ++i) {
-        if (streams[i].dropped || info[i] != nullptr) continue;
-        Status err = shard_error(
-            i, Status::Unavailable("cube '" + outcome.cube +
-                                   "' not published on this shard"));
-        if (!try_drop(i)) return finish(std::move(err));
-      }
-      // Version agreement: a rolling publish that has reached only some
-      // shards must not produce a Frankenstein answer.
-      size_t first = n;
-      for (size_t i = 0; i < n; ++i) {
-        if (!streams[i].dropped) {
-          first = i;
-          break;
-        }
-      }
-      version = info[first]->version;
-      for (size_t i = first + 1; i < n; ++i) {
-        if (streams[i].dropped) continue;
-        if (info[i]->version != version) {
-          return finish(Status::Unavailable(
-              "cube '" + outcome.cube + "' is at version " +
-              std::to_string(version) + " on shard " + std::to_string(first) +
-              " (" + clients_[first]->spec().Label() + ") but version " +
-              std::to_string(info[i]->version) + " on shard " +
-              std::to_string(i) + " (" + clients_[i]->spec().Label() +
-              "); retry once the rolling publish settles"));
-        }
-      }
-    }
-    router_skip = q.offset.value_or(0);
+  } else if (context.Expired()) {
+    return finish(Status::DeadlineExceeded("deadline expired before fan-out"));
   }
-  outcome.cube_version = version;
+  outcome.cube_version = pin.value_or(0);
 
   // ranked_reorder pagination is positional in the *sorted* stream: the
   // global selection must be recomputed every page, so per-shard resume
@@ -789,10 +687,9 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
 
   std::vector<std::string> bodies(n);
   for (size_t i = 0; i < n; ++i) {
-    if (streams[i].dropped) continue;
     query::Query shard_q = q;
     shard_q.cube = outcome.cube;
-    shard_q.cube_version = version;
+    shard_q.cube_version = pin;
     if (consumed[i] > 0) {
       shard_q.offset = consumed[i];
     } else {
@@ -816,7 +713,6 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
     trace::Span fanout(context.trace, "scatter.fanout");
     pool_->ParallelFor(n, [&](size_t i) {
       ShardStream& s = streams[i];
-      if (s.dropped) return;
       auto t0 = trace::TraceContext::Clock::now();
       auto head =
           s.client->StartStream("POST", target, bodies[i], "text/plain");
@@ -851,22 +747,49 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
       s.body = std::make_unique<net::ChunkedBodyReader>(s.client->reader());
     });
   }
+  // Fan-out failures. Without a pin, a shard that lacks the cube answers
+  // CubeNotPublished: the cube is then missing everywhere (NotFound) or
+  // on that shard only (Unavailable, naming the shard).
+  const Status not_published = query::CubeNotPublished(outcome.cube);
+  std::vector<size_t> missing;
   for (size_t i = 0; i < n; ++i) {
     ShardStream& s = streams[i];
     if (s.dropped || s.started) continue;
+    if (!pin && s.error == not_published) {
+      missing.push_back(i);
+      continue;
+    }
     Status err = shard_error(i, s.error);
     if (!try_drop(i)) {
       abort_started();
       return finish(std::move(err));
     }
   }
+  if (!missing.empty() && missing.size() == live_count()) {
+    return finish(not_published);
+  }
+  for (size_t i : missing) {
+    Status err = shard_error(
+        i, Status::Unavailable("cube '" + outcome.cube +
+                               "' not published on this shard"));
+    if (!try_drop(i)) {
+      abort_started();
+      return finish(std::move(err));
+    }
+  }
 
-  // --- prime: first row (or end) of every stream, before Begin, so any
-  // early shard failure can still be answered as a plain HTTP error.
+  // --- prime: the H line and first row (or end) of every stream, before
+  // Begin, so an early shard failure or a version disagreement can still
+  // be answered as a plain HTTP error.
   for (size_t i = 0; i < n; ++i) {
     ShardStream& s = streams[i];
     if (s.dropped) continue;
     Status st = s.Advance(/*stop_at_row=*/true);
+    if (st.ok() && !s.have_header) {
+      // A 200-chunked wire stream always opens with H; without it the
+      // shard's version is unknown.
+      st = Status::Internal("wire stream without a result header");
+    }
     if (!st.ok()) {
       Status err = shard_error(i, st);
       if (!try_drop(i)) {
@@ -876,22 +799,32 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
     }
   }
 
-  const query::ResultHeader* header = nullptr;
+  // Version agreement: a rolling publish that has reached only some
+  // shards must not produce a Frankenstein answer. At least one stream is
+  // live here: try_drop never drops the last one.
+  const ShardStream* first = nullptr;
   for (const ShardStream& s : streams) {
-    if (!s.dropped && s.have_header) {
-      header = &s.header;
-      break;
+    if (s.dropped) continue;
+    if (first == nullptr) {
+      first = &s;
+    } else if (s.header.cube_version != first->header.cube_version) {
+      abort_started();
+      return finish(Status::Unavailable(
+          "cube '" + outcome.cube + "' is at version " +
+          std::to_string(first->header.cube_version) + " on shard " +
+          std::to_string(first->index) + " (" +
+          clients_[first->index]->spec().Label() + ") but version " +
+          std::to_string(s.header.cube_version) + " on shard " +
+          std::to_string(s.index) + " (" + clients_[s.index]->spec().Label() +
+          "); retry once the rolling publish settles"));
     }
   }
-  if (header == nullptr) {
-    // A 200-chunked wire stream always opens with H; its absence on every
-    // live shard is a protocol violation, not an empty result.
-    abort_started();
-    return finish(Status::Internal("no shard produced a result header"));
-  }
+  const query::ResultHeader& header = first->header;
+  const uint64_t version = header.cube_version;
+  outcome.cube_version = version;
 
   outcome.begun = true;
-  if (!sink.Begin(*header)) {
+  if (!sink.Begin(header)) {
     // Mirror the single-node path: an aborted stream is still closed with
     // a trailer, reports OK, and never carries a resume cursor.
     abort_started();
@@ -1074,69 +1007,6 @@ query::StreamOutcome ScatterExecutor::ScatterLocked(
 // ---------------------------------------------------------------------------
 // Metrics
 
-namespace {
-
-// server/metrics.cc keeps its exposition helpers file-local on purpose;
-// these are the scatter router's own minimal equivalents.
-
-void FamilyHeader(std::string* out, const char* name, const char* type,
-                  const char* help) {
-  *out += "# HELP ";
-  *out += name;
-  *out += ' ';
-  *out += help;
-  *out += "\n# TYPE ";
-  *out += name;
-  *out += ' ';
-  *out += type;
-  *out += '\n';
-}
-
-std::string SecondsText(double s) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", s);
-  return buf;
-}
-
-void ShardHistogramSeries(std::string* out, const char* name,
-                          const std::string& label,
-                          const trace::LatencyHistogram& hist) {
-  auto bucket_line = [&](const std::string& le, uint64_t cumulative) {
-    *out += name;
-    *out += "_bucket{";
-    *out += label;
-    *out += ",le=\"";
-    *out += le;
-    *out += "\"} ";
-    *out += std::to_string(cumulative);
-    *out += '\n';
-  };
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < trace::LatencyHistogram::kBucketBoundsMs.size();
-       ++i) {
-    cumulative += hist.bucket(i);
-    bucket_line(
-        SecondsText(trace::LatencyHistogram::kBucketBoundsMs[i] / 1000.0),
-        cumulative);
-  }
-  cumulative += hist.bucket(trace::LatencyHistogram::kNumBuckets - 1);
-  bucket_line("+Inf", cumulative);
-  *out += name;
-  *out += "_sum{";
-  *out += label;
-  *out += "} ";
-  *out += SecondsText(hist.sum_ms() / 1000.0);
-  *out += '\n';
-  *out += name;
-  *out += "_count{";
-  *out += label;
-  *out += "} ";
-  *out += std::to_string(hist.count());
-  *out += '\n';
-}
-
-}  // namespace
-
 void ScatterExecutor::AppendBackendMetrics(std::string* out) const {
   const size_t n = clients_.size();
   auto shard_label = [this](size_t i) {
@@ -1144,28 +1014,28 @@ void ScatterExecutor::AppendBackendMetrics(std::string* out) const {
            clients_[i]->spec().Label() + "\"";
   };
 
-  FamilyHeader(out, "scubed_shard_requests_total", "counter",
-               "Round trips the scatter router attempted per shard.");
+  trace::MetricFamily(out, "scubed_shard_requests_total", "counter",
+                      "Round trips the scatter router attempted per shard.");
   for (size_t i = 0; i < n; ++i) {
     *out += "scubed_shard_requests_total{" + shard_label(i) + "} " +
             std::to_string(clients_[i]->health().requests) + "\n";
   }
-  FamilyHeader(out, "scubed_shard_failures_total", "counter",
-               "Round trips that exhausted every replica of a shard.");
+  trace::MetricFamily(out, "scubed_shard_failures_total", "counter",
+                      "Round trips that exhausted every replica of a shard.");
   for (size_t i = 0; i < n; ++i) {
     *out += "scubed_shard_failures_total{" + shard_label(i) + "} " +
             std::to_string(clients_[i]->health().failures) + "\n";
   }
-  FamilyHeader(out, "scubed_scatter_partial_total", "counter",
-               "Requests answered from a shard subset (allow_partial).");
+  trace::MetricFamily(out, "scubed_scatter_partial_total", "counter",
+                      "Requests answered from a shard subset (allow_partial).");
   *out += "scubed_scatter_partial_total " +
           std::to_string(partial_.load(std::memory_order_relaxed)) + "\n";
 
-  FamilyHeader(out, "scubed_shard_rtt_seconds", "histogram",
-               "Shard stream head latency (request out to head in).");
+  trace::MetricFamily(out, "scubed_shard_rtt_seconds", "histogram",
+                      "Shard stream head latency (request out to head in).");
   for (size_t i = 0; i < n; ++i) {
-    ShardHistogramSeries(out, "scubed_shard_rtt_seconds", shard_label(i),
-                         *rtt_[i]);
+    trace::MetricHistogram(out, "scubed_shard_rtt_seconds", shard_label(i),
+                           *rtt_[i]);
   }
 }
 

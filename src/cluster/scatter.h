@@ -24,12 +24,17 @@
 // the same reason single-node pages do: every shard stream is
 // deterministic.
 //
-// Versions: each statement is pinned to one sealed version before
-// fan-out. A non-cursor request preflights GET /cubes on every shard and
-// requires them to agree on the latest version (a mismatch — e.g. a
-// rolling publish in progress — is Unavailable and names the shard);
-// cursors carry the pin themselves. Shard requests always say FROM
-// name@version, so a concurrent publish cannot tear one answer.
+// Versions: a statement costs one request per shard, and each shard's
+// stream opens with an H line naming the sealed version the shard
+// resolved (query/wire_format.h). The router reads it from every stream
+// before it emits anything. Shards must agree: a mismatch (a rolling
+// publish in progress) is Unavailable and names both shards; a cube
+// missing everywhere is NotFound, a cube missing on one shard is
+// Unavailable naming that shard. A cursor or FROM name@version pins the
+// version in the shard requests themselves, and a page's cursor carries
+// the agreed version, so later pages read the same snapshot even across
+// a publish. Unpinned shard statements are the shards' own cacheable
+// texts, so a shard's publish warms routed traffic too.
 //
 // Failure: a failed shard fails the request with an error envelope that
 // names it ("shard 2 (host:port): ..."). With ?allow_partial=1, analytic

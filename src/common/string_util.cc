@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -82,6 +83,7 @@ Result<double> ParseDouble(std::string_view s) {
   if (end != buf.c_str() + buf.size()) {
     return Status::ParseError("trailing characters in double: " + buf);
   }
+  if (!std::isfinite(v)) return Status::ParseError("double not finite: " + buf);
   return v;
 }
 

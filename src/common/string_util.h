@@ -28,7 +28,8 @@ std::string ToLower(std::string_view s);
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 
-/// Strict integer / double parsing of the *entire* string.
+/// Strict integer / double parsing of the *entire* string. ParseDouble
+/// accepts finite values only: nan, inf and overflow are ParseError.
 Result<int64_t> ParseInt64(std::string_view s);
 Result<double> ParseDouble(std::string_view s);
 

@@ -69,6 +69,13 @@ void AppendSpanJson(const std::vector<TraceContext::SpanView>& spans,
   out->push_back(']');
 }
 
+/// "%g" rendering of a sample or bucket bound ("0.005", "2.5", "1e-05").
+std::string MetricNumber(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%g", v);
+  return buf;
+}
+
 }  // namespace
 
 TraceContext::TraceContext()
@@ -248,6 +255,77 @@ double LatencyHistogram::Quantile(double q) const {
     cumulative += in_bucket;
   }
   return kBucketBoundsMs.back();
+}
+
+void MetricFamily(std::string* out, const char* name, const char* type,
+                  const char* help) {
+  *out += "# HELP ";
+  *out += name;
+  *out += ' ';
+  *out += help;
+  *out += "\n# TYPE ";
+  *out += name;
+  *out += ' ';
+  *out += type;
+  *out += '\n';
+}
+
+void MetricCounter(std::string* out, const char* name, uint64_t value,
+                   const char* help) {
+  MetricFamily(out, name, "counter", help);
+  *out += name;
+  *out += ' ';
+  *out += std::to_string(value);
+  *out += '\n';
+}
+
+void MetricGauge(std::string* out, const char* name, double value,
+                 const char* help) {
+  MetricFamily(out, name, "gauge", help);
+  *out += name;
+  *out += ' ';
+  *out += MetricNumber(value);
+  *out += '\n';
+}
+
+void MetricHistogram(std::string* out, const char* name,
+                     const std::string& label, const LatencyHistogram& hist) {
+  auto bucket_line = [&](const std::string& le, uint64_t cumulative) {
+    *out += name;
+    *out += "_bucket{";
+    if (!label.empty()) {
+      *out += label;
+      *out += ',';
+    }
+    *out += "le=\"";
+    *out += le;
+    *out += "\"} ";
+    *out += std::to_string(cumulative);
+    *out += '\n';
+  };
+  uint64_t cumulative = 0;
+  for (size_t i = 0; i < LatencyHistogram::kBucketBoundsMs.size(); ++i) {
+    cumulative += hist.bucket(i);
+    bucket_line(MetricNumber(LatencyHistogram::kBucketBoundsMs[i] / 1000.0),
+                cumulative);
+  }
+  cumulative += hist.bucket(LatencyHistogram::kNumBuckets - 1);
+  bucket_line("+Inf", cumulative);
+
+  auto sample = [&](const char* suffix, const std::string& value) {
+    *out += name;
+    *out += suffix;
+    if (!label.empty()) {
+      *out += '{';
+      *out += label;
+      *out += '}';
+    }
+    *out += ' ';
+    *out += value;
+    *out += '\n';
+  };
+  sample("_sum", MetricNumber(hist.sum_ms() / 1000.0));
+  sample("_count", std::to_string(hist.count()));
 }
 
 }  // namespace trace

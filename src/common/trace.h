@@ -17,7 +17,7 @@
 //                  fixed log-spaced buckets, atomic counters: Observe()
 //                  is two relaxed fetch_adds and never allocates, safe
 //                  from any thread. Rendered as a Prometheus histogram by
-//                  server/metrics.cc; Quantile() interpolates p50/p95/p99
+//                  MetricHistogram; Quantile() interpolates p50/p95/p99
 //                  for benches and reports.
 //
 // Span names must be string literals (or otherwise outlive the trace):
@@ -205,6 +205,28 @@ class LatencyHistogram {
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_us_{0};
 };
+
+// Prometheus text exposition: the one writer behind every GET /metrics
+// series (server counters, backend series, the router's per-shard series).
+
+/// The "# HELP" and "# TYPE" lines of one metric family; emitted once per
+/// family no matter how many labelled series follow.
+void MetricFamily(std::string* out, const char* name, const char* type,
+                  const char* help);
+
+/// A whole counter family with one unlabelled sample.
+void MetricCounter(std::string* out, const char* name, uint64_t value,
+                   const char* help);
+
+/// A whole gauge family with one unlabelled sample (printf "%g").
+void MetricGauge(std::string* out, const char* name, double value,
+                 const char* help);
+
+/// One series of a histogram family: the cumulative _bucket samples (le
+/// in seconds, "+Inf" last), then _sum and _count. `label` is a complete
+/// `key="value"` list, or "" for an unlabelled series.
+void MetricHistogram(std::string* out, const char* name,
+                     const std::string& label, const LatencyHistogram& hist);
 
 }  // namespace trace
 }  // namespace scube

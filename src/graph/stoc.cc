@@ -45,15 +45,18 @@ double StocSimilarity(const Graph& graph, const NodeAttributes& attributes,
   return alpha * topo + (1.0 - alpha) * attr;
 }
 
+Status CheckStocFraction(const char* name, double value) {
+  if (!(value >= 0.0 && value <= 1.0)) {
+    return Status::InvalidArgument(std::string(name) + " must be in [0,1]");
+  }
+  return Status::OK();
+}
+
 Result<Clustering> StocClustering(const Graph& graph,
                                   const NodeAttributes& attributes,
                                   const StocOptions& options) {
-  if (options.tau < 0.0 || options.tau > 1.0) {
-    return Status::InvalidArgument("tau must be in [0,1]");
-  }
-  if (options.alpha < 0.0 || options.alpha > 1.0) {
-    return Status::InvalidArgument("alpha must be in [0,1]");
-  }
+  SCUBE_RETURN_IF_ERROR(CheckStocFraction("tau", options.tau));
+  SCUBE_RETURN_IF_ERROR(CheckStocFraction("alpha", options.alpha));
   if (attributes.NumNodes() < graph.NumNodes()) {
     return Status::InvalidArgument(
         "attributes cover " + std::to_string(attributes.NumNodes()) +

@@ -42,6 +42,10 @@ struct StocOptions {
   uint64_t rng_seed = 0x570CULL;
 };
 
+/// InvalidArgument unless an SToC fraction (`name` is "tau" or "alpha")
+/// lies in [0,1] (NaN too).
+Status CheckStocFraction(const char* name, double value);
+
 /// Runs SToC. `attributes` must cover every node of `graph`.
 Result<Clustering> StocClustering(const Graph& graph,
                                   const NodeAttributes& attributes,

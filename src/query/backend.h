@@ -93,6 +93,14 @@ struct CubeInfo {
   uint64_t defined_cells = 0;
 };
 
+/// NotFound for a statement whose cube has no published version. Every
+/// backend answers it with this exact status, so a scatter router can
+/// tell a shard that lacks the cube from other NotFound answers (an
+/// unknown attribute value, say).
+inline Status CubeNotPublished(const std::string& cube) {
+  return Status::NotFound("no cube published under '" + cube + "'");
+}
+
 /// \brief Anything that answers SCubeQL statements for the HTTP surface.
 /// Implementations must be thread-safe: the server calls concurrently
 /// from every connection handler thread.

@@ -43,12 +43,22 @@ struct QueryContext {
   /// failing the whole request. Ignored by single-node backends.
   bool allow_partial = false;
 
+  /// The longest timeout WithTimeout represents: half the steady clock's
+  /// range (~146 years at nanosecond ticks), so now() + timeout cannot
+  /// overflow. Request edges reject anything larger, NaN or infinite.
+  static constexpr double kMaxTimeoutMs =
+      std::chrono::duration<double, std::milli>(Clock::duration::max())
+          .count() /
+      2;
+
   /// A context whose deadline is `ms` milliseconds from now. Non-positive
-  /// `ms` yields an already-expired context (useful in tests).
+  /// `ms` yields an already-expired context (useful in tests); `ms` must
+  /// not exceed kMaxTimeoutMs.
   static QueryContext WithTimeout(double ms) {
     QueryContext ctx;
-    ctx.deadline = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                      std::chrono::duration<double, std::milli>(ms));
+    ctx.deadline =
+        Clock::now() + std::chrono::duration_cast<Clock::duration>(
+                           std::chrono::duration<double, std::milli>(ms));
     return ctx;
   }
 

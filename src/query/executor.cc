@@ -105,6 +105,7 @@ ResultHeader HeaderFor(const Query& q) {
   ResultHeader header;
   header.verb = q.verb;
   header.by = q.by;
+  header.cube_version = q.cube_version.value_or(0);
   switch (q.verb) {
     case Verb::kTopK:
       header.has_value = true;

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <vector>
 
+#include "common/string_util.h"
+
 namespace scube {
 namespace query {
 
@@ -353,13 +355,13 @@ class Parser {
     if (tok.type != TokenType::kIdent) {
       return Error(tok, std::string("expected a number for ") + what);
     }
-    char* end = nullptr;
-    double v = std::strtod(tok.text.c_str(), &end);
-    if (end != tok.text.c_str() + tok.text.size() || tok.text.empty()) {
-      return Error(tok, std::string("expected a number for ") + what +
+    // Finite only: a nan threshold would make every comparison false.
+    auto v = scube::ParseDouble(tok.text);
+    if (!v.ok()) {
+      return Error(tok, std::string("expected a finite number for ") + what +
                             ", got '" + tok.text + "'");
     }
-    return v;
+    return *v;
   }
 
   bool ConsumeSymbol(const char* sym) {

@@ -53,11 +53,17 @@ struct ResultRow {
 };
 
 /// \brief Everything known about an answer *before* its first row: the
-/// verb, the ranked index and the verb-specific column layout. Streamed
-/// first so writers can emit their header bytes before any row exists.
+/// verb, the ranked index, the sealed version and the verb-specific
+/// column layout. Streamed first so writers can emit their header bytes
+/// before any row exists.
 struct ResultHeader {
   Verb verb = Verb::kSlice;
   indexes::IndexKind by = indexes::IndexKind::kDissimilarity;
+
+  /// The sealed cube version the rows come from (the query's FROM pin,
+  /// which QueryService sets where it resolves the snapshot); 0 when
+  /// unknown. Only the wire format renders it.
+  uint64_t cube_version = 0;
 
   /// Which verb-specific columns are populated, and their display names.
   bool has_value = false;

@@ -1,7 +1,6 @@
 #include "query/service.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <memory>
 
@@ -35,40 +34,6 @@ void StampCursor(QueryResponse* resp) {
 bool UsableFromCache(const QueryResult& result, const QueryContext& ctx) {
   return !ctx.merge_keys || result.rows.empty() ||
          !result.rows.front().skey.empty();
-}
-
-/// Prometheus exposition helpers for AppendBackendMetrics (same output
-/// shape as server/metrics.cc renders for the shared series).
-void MetricCounter(std::string* out, const char* name, uint64_t value,
-                   const char* help) {
-  *out += "# HELP ";
-  *out += name;
-  *out += ' ';
-  *out += help;
-  *out += "\n# TYPE ";
-  *out += name;
-  *out += " counter\n";
-  *out += name;
-  *out += ' ';
-  *out += std::to_string(value);
-  *out += '\n';
-}
-
-void MetricGauge(std::string* out, const char* name, double value,
-                 const char* help) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", value);
-  *out += "# HELP ";
-  *out += name;
-  *out += ' ';
-  *out += help;
-  *out += "\n# TYPE ";
-  *out += name;
-  *out += " gauge\n";
-  *out += name;
-  *out += ' ';
-  *out += buf;
-  *out += '\n';
 }
 
 /// Forwards a stream to `out` while materialising a copy for the result
@@ -281,12 +246,12 @@ std::vector<QueryResponse> QueryService::ExecuteBatch(
     } else {
       snapshot = store_->Get(resp.cube, &version);
       if (snapshot == nullptr) {
-        resp.status =
-            Status::NotFound("no cube published under '" + resp.cube + "'");
+        resp.status = CubeNotPublished(resp.cube);
         continue;
       }
     }
     resp.cube_version = version;
+    query.cube_version = version;  // the answer's header names its snapshot
 
     if (auto cached =
             cache_.Get(resp.cube, resp.cube_version, resp.canonical);
@@ -569,11 +534,12 @@ QueryService::StreamOutcome QueryService::ExecuteStreaming(
   } else {
     snapshot = store_->Get(outcome.cube, &version);
     if (snapshot == nullptr) {
-      return finish(Status::NotFound("no cube published under '" +
-                                     outcome.cube + "'"));
+      return finish(CubeNotPublished(outcome.cube));
     }
   }
   outcome.cube_version = version;
+  // The answer's header (the wire format's H line) names the snapshot.
+  query.cube_version = version;
   prepare_span.End();
 
   // --- cache: hits replay through the sink, byte-identical to a live
@@ -693,6 +659,7 @@ QueryService::PublishInfo QueryService::PublishAndWarm(
     // Version-pinned texts target their old snapshot, not the new one.
     if (q.cube_version) continue;
     canonicals.push_back(Canonical(q));
+    q.cube_version = info.version;
     queries.push_back(std::move(q));
   }
   if (queries.empty()) {
@@ -709,7 +676,11 @@ QueryService::PublishInfo QueryService::PublishAndWarm(
   if (executor == nullptr) {
     executor = std::make_shared<const Executor>(*snapshot);
   }
-  auto results = executor->ExecuteBatch(queries);
+  // With merge keys, a warmed answer also serves the shard wire path
+  // (UsableFromCache); JSON and CSV never render the keys.
+  QueryContext keyed;
+  keyed.merge_keys = true;
+  auto results = executor->ExecuteBatch(queries, keyed);
   for (size_t i = 0; i < results.size(); ++i) {
     if (!results[i].ok()) continue;
     cache_.Put(name, info.version, canonicals[i],
@@ -739,6 +710,8 @@ std::vector<CubeInfo> QueryService::ListCubes() const {
 }
 
 void QueryService::AppendBackendMetrics(std::string* out) const {
+  using trace::MetricCounter;
+  using trace::MetricGauge;
   MetricGauge(out, "scubed_queue_depth",
               static_cast<double>(queue_depth()),
               "Worker tasks currently queued");

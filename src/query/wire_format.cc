@@ -122,6 +122,8 @@ std::string WireDouble(double v) {
 
 bool WireWriter::Begin(const ResultHeader& header) {
   std::string line = "H\t";
+  line += std::to_string(header.cube_version);
+  line += '\t';
   line += std::to_string(static_cast<int>(header.verb));
   line += '\t';
   line += std::to_string(static_cast<int>(header.by));
@@ -184,13 +186,11 @@ void WireWriter::Finish(const ResultTrailer& trailer) {
 }
 
 std::string WireStatusLine(StatusCode code, const std::string& message,
-                           uint64_t version, bool cache_hit, uint64_t rows) {
+                           bool cache_hit, uint64_t rows) {
   std::string line = "S\t";
   line += std::to_string(static_cast<int>(code));
   line += '\t';
   AppendWireEscaped(message, &line);
-  line += '\t';
-  line += std::to_string(version);
   line += '\t';
   line += cache_hit ? '1' : '0';
   line += '\t';
@@ -208,19 +208,20 @@ Result<WireEvent> ParseWireLine(std::string_view line) {
   WireEvent event;
   switch (fields[0][0]) {
     case 'H': {
-      if (fields.size() != 10) return BadLine("H wants 10 fields");
+      if (fields.size() != 11) return BadLine("H wants 11 fields");
       event.kind = WireEvent::Kind::kHeader;
       uint64_t verb = 0, by = 0;
-      if (!ParseWireU64(fields[1], &verb) || verb >= kNumVerbs ||
-          !ParseWireU64(fields[2], &by) ||
+      if (!ParseWireU64(fields[1], &event.header.cube_version) ||
+          !ParseWireU64(fields[2], &verb) || verb >= kNumVerbs ||
+          !ParseWireU64(fields[3], &by) ||
           by >= indexes::kNumIndexKinds ||
-          !ParseWireBool(fields[3], &event.header.has_value) ||
-          !ParseWireBool(fields[4], &event.header.has_aux) ||
-          !ParseWireBool(fields[5], &event.header.has_aux2) ||
-          !ParseWireBool(fields[6], &event.header.has_tag) ||
-          !UnescapeWire(fields[7], &event.header.aux_name) ||
-          !UnescapeWire(fields[8], &event.header.aux2_name) ||
-          !UnescapeWire(fields[9], &event.header.tag_name)) {
+          !ParseWireBool(fields[4], &event.header.has_value) ||
+          !ParseWireBool(fields[5], &event.header.has_aux) ||
+          !ParseWireBool(fields[6], &event.header.has_aux2) ||
+          !ParseWireBool(fields[7], &event.header.has_tag) ||
+          !UnescapeWire(fields[8], &event.header.aux_name) ||
+          !UnescapeWire(fields[9], &event.header.aux2_name) ||
+          !UnescapeWire(fields[10], &event.header.tag_name)) {
         return BadLine("bad H field");
       }
       event.header.verb = static_cast<Verb>(verb);
@@ -270,15 +271,14 @@ Result<WireEvent> ParseWireLine(std::string_view line) {
       return event;
     }
     case 'S': {
-      if (fields.size() != 6) return BadLine("S wants 6 fields");
+      if (fields.size() != 5) return BadLine("S wants 5 fields");
       event.kind = WireEvent::Kind::kStatus;
       uint64_t code = 0;
       if (!ParseWireU64(fields[1], &code) ||
           code > static_cast<uint64_t>(StatusCode::kDeadlineExceeded) ||
           !UnescapeWire(fields[2], &event.message) ||
-          !ParseWireU64(fields[3], &event.version) ||
-          !ParseWireBool(fields[4], &event.cache_hit) ||
-          !ParseWireU64(fields[5], &event.rows)) {
+          !ParseWireBool(fields[3], &event.cache_hit) ||
+          !ParseWireU64(fields[4], &event.rows)) {
         return BadLine("bad S field");
       }
       event.code = static_cast<StatusCode>(code);

@@ -3,12 +3,17 @@
 //
 // Line-oriented, escaped TSV, one event per line:
 //
-//   H \t verb \t by \t has_value \t has_aux \t has_aux2 \t has_tag
-//     \t aux_name \t aux2_name \t tag_name
+//   H \t version \t verb \t by \t has_value \t has_aux \t has_aux2
+//     \t has_tag \t aux_name \t aux2_name \t tag_name
 //   R \t skey-hex \t sa \t ca \t t \t m \t units \t defined
 //     \t idx0..idx5 \t value \t aux \t aux2 \t tag
 //   T \t cells_scanned \t next_cursor
-//   S \t code \t message \t version \t cache_hit \t rows
+//   S \t code \t message \t cache_hit \t rows
+//
+// H's version is the sealed cube version the shard resolved for this
+// answer (ResultHeader::cube_version). It arrives before any row, so the
+// router checks that every shard answers from the same version before it
+// emits anything.
 //
 // Every double travels as the hex of its IEEE-754 bit pattern, so the
 // router re-renders rows through the very same JsonWriter/CsvWriter a
@@ -19,8 +24,8 @@
 //
 // H/R/T are written by WireWriter (a ResultWriter like Json/CsvWriter);
 // the final S line is appended by the HTTP handler once the execution
-// outcome (status, version, cache_hit) is known. Errors caught before
-// Begin never enter the stream: they are plain buffered HTTP errors.
+// outcome (status, cache_hit) is known. Errors caught before Begin never
+// enter the stream: they are plain buffered HTTP errors.
 
 #ifndef SCUBE_QUERY_WIRE_FORMAT_H_
 #define SCUBE_QUERY_WIRE_FORMAT_H_
@@ -47,17 +52,17 @@ class WireWriter : public ResultWriter {
   void Finish(const ResultTrailer& trailer) override;
 };
 
-/// The closing S line (status, shard cube version, cache_hit, row count);
-/// appended by the handler after execution, newline included.
+/// The closing S line (status, cache_hit, row count); appended by the
+/// handler after execution, newline included.
 std::string WireStatusLine(StatusCode code, const std::string& message,
-                           uint64_t version, bool cache_hit, uint64_t rows);
+                           bool cache_hit, uint64_t rows);
 
 /// \brief One parsed wire line (the router side).
 struct WireEvent {
   enum class Kind { kHeader, kRow, kTrailer, kStatus };
   Kind kind = Kind::kHeader;
 
-  ResultHeader header;  ///< kHeader
+  ResultHeader header;  ///< kHeader (cube_version included)
   ResultRow row;        ///< kRow (skey hex-decoded back to bytes)
 
   // kTrailer
@@ -67,7 +72,6 @@ struct WireEvent {
   // kStatus
   StatusCode code = StatusCode::kOk;
   std::string message;
-  uint64_t version = 0;
   bool cache_hit = false;
   uint64_t rows = 0;
 };

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/string_util.h"
+#include "graph/stoc.h"
 #include "indexes/segregation_index.h"
 
 namespace scube {
@@ -24,6 +25,14 @@ Status SetKey(PipelineConfig* config, const std::string& key,
     auto v = ParseDouble(value);
     if (!v.ok()) return v.status().WithContext(key);
     *out = v.value();
+    return Status::OK();
+  };
+  // Checked here, before any input loads, with the check SToC runs itself.
+  auto parse_stoc_fraction = [&](const char* name, double* out) -> Status {
+    double v = 0;
+    SCUBE_RETURN_IF_ERROR(parse_double(&v));
+    SCUBE_RETURN_IF_ERROR(graph::CheckStocFraction(name, v).WithContext(key));
+    *out = v;
     return Status::OK();
   };
   auto parse_u32 = [&](uint32_t* out) -> Status {
@@ -83,8 +92,10 @@ Status SetKey(PipelineConfig* config, const std::string& key,
     config->threshold.giant_only = value == "true";
     return Status::OK();
   }
-  if (key == "stoc.tau") return parse_double(&config->stoc.tau);
-  if (key == "stoc.alpha") return parse_double(&config->stoc.alpha);
+  if (key == "stoc.tau") return parse_stoc_fraction("tau", &config->stoc.tau);
+  if (key == "stoc.alpha") {
+    return parse_stoc_fraction("alpha", &config->stoc.alpha);
+  }
   if (key == "stoc.max_radius") return parse_u32(&config->stoc.max_radius);
   if (key == "projection.hub_cap") {
     return parse_u32(&config->projection.hub_cap);

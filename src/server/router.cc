@@ -87,8 +87,10 @@ std::string ParseQueryParams(const net::HttpRequest& request,
   }
   const std::string deadline = request.Param("deadline_ms");
   if (!deadline.empty()) {
+    // ParseDouble rejects nan and inf; the cap keeps the deadline
+    // representable on the steady clock.
     auto ms = ParseDouble(deadline);
-    if (!ms.ok() || *ms <= 0) {
+    if (!ms.ok() || *ms <= 0 || *ms > query::QueryContext::kMaxTimeoutMs) {
       return "bad deadline_ms '" + deadline +
              "' (must be a positive number of milliseconds)";
     }
@@ -459,9 +461,9 @@ bool HandleQueryStream(const RouterContext& ctx,
   } else if (format == "wire") {
     // The authoritative close of a wire stream: the router treats a
     // stream without an S line as transport failure.
-    writer.Write(query::WireStatusLine(
-        outcome.status.code(), outcome.status.message(),
-        outcome.cube_version, outcome.cache_hit, outcome.rows));
+    writer.Write(query::WireStatusLine(outcome.status.code(),
+                                       outcome.status.message(),
+                                       outcome.cache_hit, outcome.rows));
   } else if (!outcome.status.ok()) {
     writer.Write("# code: " +
                  std::string(StatusCodeToString(outcome.status.code())) +

@@ -134,6 +134,14 @@ struct ShardProcess {
   }
 };
 
+/// The global cube split into `n` shard cubes.
+std::vector<cube::SegregationCube> Partitions(size_t n) {
+  cube::CubeView view = MakeGlobalCube().Seal(1);
+  PartitionOptions options;
+  options.num_shards = n;
+  return PartitionCube(view, options);
+}
+
 /// An n-shard topology: partitioned shard servers plus the router-side
 /// scatter executor pointed at them.
 struct Topology {
@@ -141,10 +149,7 @@ struct Topology {
   std::unique_ptr<ScatterExecutor> scatter;
 
   explicit Topology(size_t n) {
-    cube::CubeView view = MakeGlobalCube().Seal(1);
-    PartitionOptions options;
-    options.num_shards = n;
-    std::vector<cube::SegregationCube> parts = PartitionCube(view, options);
+    std::vector<cube::SegregationCube> parts = Partitions(n);
     std::vector<ShardSpec> specs;
     for (size_t i = 0; i < n; ++i) {
       shards.push_back(std::make_unique<ShardProcess>(std::move(parts[i])));
@@ -369,6 +374,211 @@ TEST_F(ScatterTest, ListCubesIntersectsAgreeingShards) {
   // at least the global count.
   cube::CubeView view = MakeGlobalCube().Seal(1);
   EXPECT_GE(cubes[0].cells, view.NumCells());
+}
+
+// --- version and availability contract -----------------------------------
+// What the router answers when shards disagree on a cube's version or
+// lack the cube: status codes and messages clients rely on.
+
+TEST_F(ScatterTest, RollingPublishDisagreementIsUnavailable) {
+  Topology topo(2);
+  // Shard 0 has taken the next version; shard 1 has not yet.
+  topo.shards[0]->store.Publish("default", Partitions(2)[0]);
+
+  query::VectorSink sink;
+  auto outcome =
+      topo.scatter->ExecuteStreaming("DICE sa=sex=F", sink, {}, "");
+  ASSERT_EQ(outcome.status.code(), StatusCode::kUnavailable) << outcome.status;
+  const std::string& message = outcome.status.message();
+  EXPECT_NE(message.find("cube 'default' is at version 2 on shard 0 "
+                         "(127.0.0.1:"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("but version 1 on shard 1 (127.0.0.1:"),
+            std::string::npos)
+      << message;
+  EXPECT_NE(message.find("retry once the rolling publish settles"),
+            std::string::npos)
+      << message;
+  EXPECT_FALSE(outcome.begun);
+  EXPECT_TRUE(sink.result().rows.empty());
+
+  // Once the publish reaches every shard, the router answers at the new
+  // version again.
+  topo.shards[1]->store.Publish("default", Partitions(2)[1]);
+  query::VectorSink settled;
+  auto after =
+      topo.scatter->ExecuteStreaming("DICE sa=sex=F", settled, {}, "");
+  ASSERT_TRUE(after.status.ok()) << after.status;
+  EXPECT_EQ(after.cube_version, 2u);
+}
+
+TEST_F(ScatterTest, CubeMissingEverywhereIsNotFound) {
+  Topology topo(2);
+  query::VectorSink sink;
+  auto outcome = topo.scatter->ExecuteStreaming("DICE sa=sex=F FROM nowhere",
+                                                sink, {}, "");
+  ASSERT_EQ(outcome.status.code(), StatusCode::kNotFound) << outcome.status;
+  EXPECT_EQ(outcome.status.message(), "no cube published under 'nowhere'");
+
+  // Another NotFound (an unknown attribute value) stays the shards' own
+  // answer, named by shard; it does not read as a missing cube.
+  query::VectorSink unknown;
+  auto value =
+      topo.scatter->ExecuteStreaming("DICE sa=sex=X", unknown, {}, "");
+  ASSERT_EQ(value.status.code(), StatusCode::kNotFound) << value.status;
+  EXPECT_EQ(value.status.message().rfind("shard 0 (127.0.0.1:", 0), 0u)
+      << value.status;
+
+  // allow_partial cannot turn "nowhere" into an empty answer.
+  query::QueryContext partial;
+  partial.allow_partial = true;
+  query::VectorSink topk;
+  auto analytic = topo.scatter->ExecuteStreaming(
+      "TOPK 3 BY gini FROM nowhere", topk, partial, "");
+  EXPECT_EQ(analytic.status.code(), StatusCode::kNotFound) << analytic.status;
+}
+
+TEST_F(ScatterTest, CubeMissingOnOneShardNamesTheShard) {
+  Topology topo(2);
+  topo.shards[0]->store.Publish("extra", Partitions(2)[0]);
+
+  query::VectorSink sink;
+  auto outcome = topo.scatter->ExecuteStreaming("DICE sa=sex=F FROM extra",
+                                                sink, {}, "");
+  ASSERT_EQ(outcome.status.code(), StatusCode::kUnavailable) << outcome.status;
+  const std::string& message = outcome.status.message();
+  EXPECT_EQ(message.rfind("shard 1 (127.0.0.1:", 0), 0u) << message;
+  EXPECT_NE(message.find("): cube 'extra' not published on this shard"),
+            std::string::npos)
+      << message;
+
+  // An analytic verb with allow_partial answers from the shard that has it.
+  query::QueryContext partial;
+  partial.allow_partial = true;
+  query::VectorSink topk;
+  auto analytic = topo.scatter->ExecuteStreaming(
+      "TOPK 3 BY gini FROM extra WHERE T >= 1 AND M >= 1", topk, partial, "");
+  ASSERT_TRUE(analytic.status.ok()) << analytic.status;
+  EXPECT_FALSE(topk.result().rows.empty());
+  EXPECT_EQ(analytic.cube_version, 1u);
+}
+
+TEST_F(ScatterTest, PinnedVersionEvictedOnOneShardIsNotFound) {
+  Topology topo(2);
+  // Publish past the retention window on shard 0 only: its version 1 is
+  // evicted, shard 1 still serves it.
+  for (size_t i = 0; i < query::CubeStore::kDefaultMaxVersions; ++i) {
+    topo.shards[0]->store.Publish("default", Partitions(2)[0]);
+  }
+  ASSERT_EQ(topo.shards[0]->store.GetVersion("default", 1), nullptr);
+
+  query::VectorSink sink;
+  auto outcome = topo.scatter->ExecuteStreaming(
+      "DICE sa=sex=F FROM default@1", sink, {}, "");
+  ASSERT_EQ(outcome.status.code(), StatusCode::kNotFound) << outcome.status;
+  const std::string& message = outcome.status.message();
+  EXPECT_EQ(message.rfind("shard 0 (127.0.0.1:", 0), 0u) << message;
+  EXPECT_NE(message.find("): no version 1 of cube 'default' (evicted or "
+                         "never published)"),
+            std::string::npos)
+      << message;
+}
+
+TEST_F(ScatterTest, AllowPartialTopkDropsALaggingShard) {
+  Topology topo(2);
+  // Version 2 has reached shard 0 only; shard 1 lags at version 1.
+  topo.shards[0]->store.Publish("default", Partitions(2)[0]);
+  const std::string text =
+      "TOPK 5 BY gini FROM default@2 WHERE T >= 1 AND M >= 1 LIMIT 3";
+
+  query::VectorSink strict;
+  auto refused = topo.scatter->ExecuteStreaming(text, strict, {}, "");
+  ASSERT_EQ(refused.status.code(), StatusCode::kNotFound) << refused.status;
+  EXPECT_EQ(refused.status.message().rfind("shard 1 (127.0.0.1:", 0), 0u)
+      << refused.status;
+
+  query::QueryContext partial;
+  partial.allow_partial = true;
+  query::VectorSink sink;
+  auto outcome = topo.scatter->ExecuteStreaming(text, sink, partial, "");
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status;
+  EXPECT_FALSE(sink.result().rows.empty());
+  EXPECT_EQ(outcome.cube_version, 2u);
+  EXPECT_TRUE(outcome.next_cursor.empty())
+      << "partial answers must not be resumable";
+  std::string metrics;
+  topo.scatter->AppendBackendMetrics(&metrics);
+  EXPECT_NE(metrics.find("\nscubed_scatter_partial_total 1\n"),
+            std::string::npos)
+      << metrics;
+}
+
+/// Sum of the router's scubed_shard_requests_total sample for shard `i`.
+uint64_t ShardRequests(const ScatterExecutor& scatter, size_t i) {
+  std::string metrics;
+  scatter.AppendBackendMetrics(&metrics);
+  const std::string key =
+      "scubed_shard_requests_total{shard=\"" + std::to_string(i) + "\",";
+  size_t at = metrics.find(key);
+  EXPECT_NE(at, std::string::npos) << metrics;
+  if (at == std::string::npos) return 0;
+  size_t space = metrics.find("} ", at);
+  return std::stoull(metrics.substr(space + 2));
+}
+
+TEST_F(ScatterTest, RoutedStatementCostsOneRequestPerShard) {
+  Topology topo(4);
+  for (const std::string& text : AllVerbTexts()) {
+    std::vector<uint64_t> before;
+    for (size_t i = 0; i < 4; ++i) {
+      before.push_back(ShardRequests(*topo.scatter, i));
+    }
+    query::VectorSink sink;
+    auto outcome = topo.scatter->ExecuteStreaming(text, sink, {}, "");
+    ASSERT_TRUE(outcome.status.ok()) << text << " -> " << outcome.status;
+    for (size_t i = 0; i < 4; ++i) {
+      EXPECT_EQ(ShardRequests(*topo.scatter, i) - before[i], 1u)
+          << "shard " << i << ", " << text;
+    }
+  }
+}
+
+TEST_F(ScatterTest, ShardPublishWarmsRoutedStatements) {
+  Topology topo(2);
+  // Fewer texts than ServiceOptions::warm_top_n, so every one is warmed;
+  // ORDER BY and the analytic verbs carry the subtler merge keys.
+  const std::vector<std::string> texts = {
+      "TOPK 5 BY gini WHERE T >= 1 AND M >= 1",
+      "TOPK 5 BY atkinson WHERE T >= 1 AND M >= 1 ORDER BY T DESC",
+      "DICE sa=sex=F ORDER BY gini DESC",
+      "SURPRISES BY dissimilarity MINDELTA 0.001",
+      "REVERSALS MINGAP 0.001",
+  };
+  for (const std::string& text : texts) {
+    query::VectorSink sink;
+    ASSERT_TRUE(
+        topo.scatter->ExecuteStreaming(text, sink, {}, "").status.ok());
+  }
+
+  // A rolling publish: each shard warms the texts the router sent it.
+  std::vector<cube::SegregationCube> parts = Partitions(2);
+  for (size_t i = 0; i < 2; ++i) {
+    auto info =
+        topo.shards[i]->service->PublishAndWarm("default", std::move(parts[i]));
+    EXPECT_EQ(info.version, 2u);
+    EXPECT_EQ(info.warmed, texts.size()) << "shard " << i;
+  }
+
+  // The first routed answers at the new version come from the shards'
+  // warmed caches (merge keys included), and equal the single node's.
+  for (const std::string& text : texts) {
+    query::StreamOutcome outcome;
+    std::string routed = StreamJson(topo.scatter.get(), text, &outcome);
+    EXPECT_EQ(outcome.cube_version, 2u) << text;
+    EXPECT_TRUE(outcome.cache_hit) << text;
+    EXPECT_EQ(Mask(routed), Mask(StreamJson(single_.get(), text))) << text;
+  }
 }
 
 TEST_F(ScatterTest, RouterServerServesScatterOverHttp) {

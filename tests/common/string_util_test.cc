@@ -61,6 +61,11 @@ TEST(ParseDoubleTest, ValidAndInvalid) {
   EXPECT_DOUBLE_EQ(ParseDouble("-1e3").value(), -1000.0);
   EXPECT_FALSE(ParseDouble("").ok());
   EXPECT_FALSE(ParseDouble("0.5bad").ok());
+  // Finite values only.
+  for (const char* bad : {"nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                          "1e999"}) {
+    EXPECT_FALSE(ParseDouble(bad).ok()) << bad;
+  }
 }
 
 TEST(JsonEscapeTest, PassesPlainTextThrough) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace scube {
 namespace graph {
 namespace {
@@ -124,9 +126,18 @@ TEST(StocClusteringTest, ValidatesParameters) {
   opts.alpha = -0.1;
   EXPECT_FALSE(StocClustering(f.graph, f.attrs, opts).ok());
 
+  opts.alpha = std::nan("");
+  EXPECT_FALSE(StocClustering(f.graph, f.attrs, opts).ok());
+
   NodeAttributes short_attrs(2);
   opts.alpha = 0.5;
   EXPECT_FALSE(StocClustering(f.graph, short_attrs, opts).ok());
+
+  EXPECT_TRUE(CheckStocFraction("tau", 0.0).ok());
+  EXPECT_TRUE(CheckStocFraction("tau", 1.0).ok());
+  Status bad = CheckStocFraction("alpha", std::nan(""));
+  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.message(), "alpha must be in [0,1]");
 }
 
 TEST(StocClusteringTest, EveryNodeAssigned) {

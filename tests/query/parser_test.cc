@@ -188,6 +188,13 @@ TEST(ParserTest, ErrorsCarryColumnAndContext) {
       {"TOPK 5 BY gini FROM italy@", "expected an integer for FROM version"},
       {"TOPK 5 BY gini FROM italy@v2", "expected an integer for FROM version"},
       {"TOPK 5 BY gini FROM italy@0", "versions start at 1"},
+      // Thresholds are finite: every comparison against NaN is false.
+      {"SURPRISES MINDELTA nan", "expected a finite number for mindelta"},
+      {"SURPRISES MINDELTA NaN", "expected a finite number for mindelta"},
+      {"REVERSALS MINGAP inf", "expected a finite number for mingap"},
+      {"REVERSALS MINGAP infinity", "expected a finite number for mingap"},
+      {"REVERSALS MINGAP 1e999", "expected a finite number for mingap"},
+      {"SURPRISES MINDELTA 0.1x", "expected a finite number for mindelta"},
   };
   for (const ErrorCase& c : cases) {
     auto q = Parse(c.text);

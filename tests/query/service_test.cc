@@ -107,6 +107,41 @@ TEST(QueryServiceTest, PublishingInvalidatesByVersion) {
       0.9);
 }
 
+TEST(QueryServiceTest, ResultHeaderNamesTheResolvedVersion) {
+  CubeStore store;
+  store.Publish("default", MakeCube(0.5));
+  store.Publish("default", MakeCube(0.9));
+  QueryService service(&store, ServiceOptions{});
+  const std::string text = "DICE sa=sex=F";
+
+  // A batch answer, then the same text streamed from its cache entry.
+  auto batch = service.ExecuteOne(text);
+  ASSERT_TRUE(batch.status.ok()) << batch.status;
+  EXPECT_EQ(batch.result.cube_version, 2u);
+  VectorSink replayed;
+  auto replay = service.ExecuteStreaming(text, replayed, {}, "");
+  ASSERT_TRUE(replay.status.ok()) << replay.status;
+  EXPECT_TRUE(replay.cache_hit);
+  EXPECT_EQ(replayed.result().cube_version, 2u);
+
+  // A FROM pin, and a cursor that outlives the next publish.
+  VectorSink pinned;
+  ASSERT_TRUE(
+      service.ExecuteStreaming(text + " FROM default@1", pinned, {}, "")
+          .status.ok());
+  EXPECT_EQ(pinned.result().cube_version, 1u);
+  VectorSink page1;
+  auto first = service.ExecuteStreaming(text + " LIMIT 1", page1, {}, "");
+  ASSERT_FALSE(first.next_cursor.empty());
+  store.Publish("default", MakeCube(0.7));
+  VectorSink page2;
+  ASSERT_TRUE(service
+                  .ExecuteStreaming(text + " LIMIT 1", page2, {},
+                                    first.next_cursor)
+                  .status.ok());
+  EXPECT_EQ(page2.result().cube_version, 2u);
+}
+
 TEST(QueryServiceTest, FromVersionPinServesRetainedVersions) {
   CubeStore store(/*max_versions=*/2);
   store.Publish("default", MakeCube(0.5));  // v1

@@ -57,6 +57,7 @@ std::vector<std::string> EmitLines(const ResultHeader& header,
 
 TEST(WireFormatTest, HeaderRoundTripsWithHostileNames) {
   ResultHeader header;
+  header.cube_version = 17;
   header.verb = Verb::kReversals;
   header.by = indexes::IndexKind::kAtkinson;
   header.has_value = true;
@@ -72,6 +73,7 @@ TEST(WireFormatTest, HeaderRoundTripsWithHostileNames) {
   auto event = ParseWireLine(lines[0]);
   ASSERT_TRUE(event.ok()) << event.status();
   ASSERT_EQ(event->kind, WireEvent::Kind::kHeader);
+  EXPECT_EQ(event->header.cube_version, 17u);
   EXPECT_EQ(event->header.verb, Verb::kReversals);
   EXPECT_EQ(event->header.by, indexes::IndexKind::kAtkinson);
   EXPECT_TRUE(event->header.has_value);
@@ -159,7 +161,7 @@ TEST(WireFormatTest, TrailerRoundTripsWithAndWithoutCursor) {
 
 TEST(WireFormatTest, StatusLineRoundTrips) {
   std::string line = WireStatusLine(StatusCode::kNotFound,
-                                    "no cube\tnamed 'x'\nretry", 17,
+                                    "no cube\tnamed 'x'\nretry",
                                     /*cache_hit=*/true, /*rows=*/359);
   ASSERT_FALSE(line.empty());
   ASSERT_EQ(line.back(), '\n');
@@ -169,11 +171,10 @@ TEST(WireFormatTest, StatusLineRoundTrips) {
   ASSERT_EQ(event->kind, WireEvent::Kind::kStatus);
   EXPECT_EQ(event->code, StatusCode::kNotFound);
   EXPECT_EQ(event->message, "no cube\tnamed 'x'\nretry");
-  EXPECT_EQ(event->version, 17u);
   EXPECT_TRUE(event->cache_hit);
   EXPECT_EQ(event->rows, 359u);
 
-  std::string ok = WireStatusLine(StatusCode::kOk, "", 1, false, 0);
+  std::string ok = WireStatusLine(StatusCode::kOk, "", false, 0);
   ok.pop_back();
   auto ok_event = ParseWireLine(ok);
   ASSERT_TRUE(ok_event.ok());
@@ -188,8 +189,12 @@ TEST(WireFormatTest, MalformedLinesAreParseErrors) {
            "X\tnope",          // unknown event kind
            "R\tonly\ttwo",     // truncated row
            "H\t999",           // truncated header
+           // Wrong field counts: H takes 11 fields, S takes 5.
+           "H\t0\t0\t0\t0\t0\t0\t\t\t",
+           "S\t0\tmsg\t1\t0\t0",
+           "H\tv1\t0\t0\t0\t0\t0\t0\t\t\t",  // non-numeric version
            "T\tnot-a-number\t",
-           "S\t12345\tmsg\t1\t0\t0",  // out-of-range status code
+           "S\t12345\tmsg\t0\t0",  // out-of-range status code
        }) {
     auto event = ParseWireLine(bad);
     EXPECT_FALSE(event.ok()) << "accepted malformed line: " << bad;

@@ -87,6 +87,31 @@ TEST(ConfigTest, RejectsBadValues) {
   EXPECT_NE(atkinson.status().message().find(
                 "Atkinson parameter b must be in (0,1)"),
             std::string::npos);
+  // So are SToC's tau and alpha, with the message SToC itself would give.
+  for (const char* text : {"stoc.tau = 5\n", "stoc.tau = -0.1\n",
+                           "stoc.alpha = 1.5\n", "stoc.alpha = -1\n"}) {
+    auto stoc = ParsePipelineConfig(text);
+    EXPECT_EQ(stoc.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(stoc.status().message().find("must be in [0,1]"),
+              std::string::npos)
+        << text << " -> " << stoc.status();
+  }
+  EXPECT_TRUE(ParsePipelineConfig("stoc.tau = 0\nstoc.alpha = 1\n").ok());
+}
+
+TEST(ConfigTest, RejectsNonFiniteDoubles) {
+  // Every comparison against NaN is false, so a nan threshold would run
+  // to the end and quietly change the answer.
+  for (const char* text :
+       {"threshold.min_weight = nan\n", "threshold.min_weight = inf\n",
+        "threshold.min_weight = -inf\n", "threshold.min_weight = 1e999\n",
+        "stoc.tau = nan\n", "stoc.alpha = NAN\n",
+        "cube.atkinson_b = nan\n"}) {
+    auto config = ParsePipelineConfig(text);
+    EXPECT_FALSE(config.ok()) << text;
+    EXPECT_EQ(config.status().code(), StatusCode::kParseError)
+        << text << " -> " << config.status();
+  }
 }
 
 TEST(ConfigTest, ErrorsCarryLineNumbers) {

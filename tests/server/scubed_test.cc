@@ -474,6 +474,28 @@ TEST(ScubedTest, NonPositiveDeadlineParamIsRejected) {
   EXPECT_EQ(negative->status, 400);
 }
 
+TEST(ScubedTest, UnrepresentableDeadlineParamIsRejected) {
+  Fixture fx;
+  // Not a deadline in the past (a 504 or a DeadlineExceeded envelope):
+  // a malformed parameter, on the buffered and the streamed route alike.
+  for (const char* ms : {"nan", "inf", "-inf", "1e300", "1e999"}) {
+    for (const char* route :
+         {"/query?deadline_ms=", "/query?stream=1&deadline_ms="}) {
+      auto resp = fx.Call("POST", std::string(route) + ms, "TOPK 1 BY gini");
+      ASSERT_TRUE(resp.ok()) << resp.status();
+      EXPECT_EQ(resp->status, 400) << route << ms << " -> " << resp->body;
+      EXPECT_NE(resp->body.find("bad deadline_ms"), std::string::npos)
+          << resp->body;
+    }
+  }
+  // A long but representable deadline answers normally.
+  auto year = fx.Call("POST", "/query?deadline_ms=3.2e10", "TOPK 1 BY gini");
+  ASSERT_TRUE(year.ok()) << year.status();
+  EXPECT_EQ(year->status, 200);
+  EXPECT_NE(year->body.find("\"code\":\"OK\""), std::string::npos)
+      << year->body;
+}
+
 TEST(ScubedTest, CubesAndMetricsEndpoints) {
   Fixture fx;
   ASSERT_TRUE(fx.Call("POST", "/query", "TOPK 1 BY dissimilarity WHERE M >= 1")
